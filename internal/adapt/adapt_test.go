@@ -152,18 +152,20 @@ func TestControllerLiveUnderWorkload(t *testing.T) {
 		go func(th int) {
 			var ptrs []int64
 			for i := 0; i < 400; i++ {
+				// Keep the block only once its transaction commits: an
+				// aborted attempt's allocation is rolled back, and
+				// freeing it later would be a double free.
+				var p int64
 				err := core.Atomically(tm, th, func(tx core.Txn) error {
-					p, err := heap.New(tx, th, 2)
-					if err != nil {
-						return err
-					}
-					ptrs = append(ptrs, p)
-					return nil
+					var err error
+					p, err = heap.New(tx, th, 2)
+					return err
 				})
 				if err != nil {
 					done <- err
 					return
 				}
+				ptrs = append(ptrs, p)
 				if len(ptrs) >= 8 {
 					for _, p := range ptrs {
 						heap.Free(th, p, 2)

@@ -296,18 +296,20 @@ func (tx *Txn) Write(x int, v int64) error {
 	return nil
 }
 
-// Commit implements core.Txn: 2PL commit never fails.
+// Commit implements core.Txn: 2PL commit never fails. The commit is
+// recorded before the stripes are released: once they are, another
+// transaction may read this one's writes and complete, and a history
+// that showed it completing before this commit would order the two
+// wrongly (the strong-opacity checker then finds a graph cycle).
 func (tx *Txn) Commit() error {
 	if !tx.live {
 		panic("atomictm: Commit on finished transaction")
 	}
 	if sk := tx.tm.sink; sk != nil {
 		sk.TxCommitReq(tx.thread)
-	}
-	tx.releaseAll(false)
-	if sk := tx.tm.sink; sk != nil {
 		sk.Committed(tx.thread, 0)
 	}
+	tx.releaseAll(false)
 	tx.finish()
 	return nil
 }

@@ -394,7 +394,10 @@ type scanner interface {
 //
 //   - ?limit= and/or ?cursor= → ONE page as a JSON object
 //     {"pairs":[...],"cursor":"...","more":bool}; walk cursors until
-//     more is false. A malformed cursor is a 400.
+//     more is false. The cursor is an opaque binary token (base64url);
+//     one the store did not cut is a 400, and that includes the decimal
+//     cursors of earlier releases: clients holding one restart from an
+//     empty cursor.
 //   - neither → the whole store streamed as one JSON array, fetched
 //     page by page and flushed as it goes.
 //

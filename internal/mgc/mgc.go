@@ -133,10 +133,8 @@ func Run(cfg Config) (*record.Recorder, error) {
 		defer wg.Done()
 		r := rand.New(rand.NewSource(cfg.Seed * 31))
 		for round := 0; round < cfg.Rounds; round++ {
-			priv := int64(2*round + 1)
-			pub := int64(2*round + 2)
 			if err := core.Atomically(tm, 1, func(tx core.Txn) error {
-				return tx.Write(flag, priv)
+				return tx.Write(flag, flagValue(&vals, 1))
 			}); err != nil {
 				fail(err)
 				return
@@ -149,7 +147,7 @@ func Run(cfg Config) (*record.Recorder, error) {
 				tm.Store(1, x, vals.Add(1))
 			}
 			if err := core.Atomically(tm, 1, func(tx core.Txn) error {
-				return tx.Write(flag, pub)
+				return tx.Write(flag, flagValue(&vals, 0))
 			}); err != nil {
 				fail(err)
 				return
@@ -161,6 +159,21 @@ func Run(cfg Config) (*record.Recorder, error) {
 		return nil, firstErr
 	}
 	return rec, nil
+}
+
+// flagValue draws a fresh flag value of the given parity (1 = private,
+// 0 = shared) from the run's value counter. Every attempt of a flag
+// transaction must draw its own value: the checker requires each write
+// in the history to carry a unique value, and an aborted attempt's
+// write is recorded too, so a retry that rewrote a fixed value would
+// make the history ill-formed. Reserving two consecutive values
+// guarantees one of each parity.
+func flagValue(vals *atomic.Int64, parity int64) int64 {
+	v := vals.Add(2)
+	if v&1 != parity {
+		v--
+	}
+	return v
 }
 
 // RunAndCheck executes the workload and verifies the recorded history:

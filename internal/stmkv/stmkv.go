@@ -63,8 +63,10 @@ package stmkv
 
 import (
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -163,15 +165,20 @@ type Store struct {
 	txnScan      bool
 	batchThreads int // >0: table heap carries magazines for ids 1..batchThreads
 
-	// pubGate is closed and replaced on every publish, so point
-	// operations waiting out a privatized shard park on it instead of
-	// sleep-polling. It sits on its own cache line: every parked point
-	// op loads it in a loop, and it previously shared a line with the
-	// maintenance counters below, so every privatization count
-	// invalidated the parkers' line (false-sharing audit).
+	// pubGate is closed and replaced by a publish that finds a parked
+	// waiter, so point operations waiting out a privatized shard park
+	// on it instead of sleep-polling. waiters counts the point
+	// operations that may park on it (see retryShared); a publish that
+	// reads zero leaves the gate alone, so the common publish with no
+	// one waiting allocates nothing. Both sit on their own cache line:
+	// every parked point op loads the gate in a loop, and it previously
+	// shared a line with the maintenance counters below, so every
+	// privatization count invalidated the parkers' line (false-sharing
+	// audit).
 	pubGate struct {
 		atomic.Pointer[chan struct{}]
-		_ [56]byte
+		waiters atomic.Int64
+		_       [48]byte
 	}
 
 	// Maintenance counters, padded apart for the same reason: they are
@@ -814,22 +821,64 @@ type scanCursor struct {
 	shard, slot, tab, cap int64
 }
 
+// The cursor's wire form is the four fields as uvarints, base64url
+// encoded without padding. cursorRawMax and cursorStrMax bound the raw
+// and encoded lengths, so both directions work in stack buffers.
+const (
+	cursorRawMax = 4 * binary.MaxVarintLen64
+	cursorStrMax = (cursorRawMax*8 + 5) / 6
+)
+
+// cursorEncoding rejects encodings with non-zero trailing bits, so each
+// raw cursor has one string form (apart from the CR/LF base64 skips).
+var cursorEncoding = base64.RawURLEncoding.Strict()
+
+// encodeCursor cuts the opaque cursor string; the string is its only
+// allocation.
 func encodeCursor(c scanCursor) string {
-	raw := fmt.Sprintf("%d.%d.%d.%d", c.shard, c.slot, c.tab, c.cap)
-	return base64.RawURLEncoding.EncodeToString([]byte(raw))
+	var raw [cursorRawMax]byte
+	b := binary.AppendUvarint(raw[:0], uint64(c.shard))
+	b = binary.AppendUvarint(b, uint64(c.slot))
+	b = binary.AppendUvarint(b, uint64(c.tab))
+	b = binary.AppendUvarint(b, uint64(c.cap))
+	var enc [cursorStrMax]byte
+	n := cursorEncoding.EncodedLen(len(b))
+	cursorEncoding.Encode(enc[:n], b)
+	return string(enc[:n])
 }
 
+// parseCursor decodes a cursor string without allocating on success. It
+// rejects oversize input, bad base64, bad or overflowing varints,
+// trailing bytes, and fields outside this store's geometry: a shard
+// past the last, a table block outside the TM's registers, a capacity
+// past the slot arena, or a slot past the capacity. A cursor that
+// passes can only resume at a slot inside the table it names.
 func (s *Store) parseCursor(str string) (scanCursor, error) {
-	raw, err := base64.RawURLEncoding.DecodeString(str)
+	if len(str) > cursorStrMax {
+		return scanCursor{}, fmt.Errorf("%w: %d bytes", ErrBadCursor, len(str))
+	}
+	var enc [cursorStrMax]byte
+	var raw [cursorRawMax]byte
+	n, err := cursorEncoding.Decode(raw[:], enc[:copy(enc[:], str)])
 	if err != nil {
 		return scanCursor{}, fmt.Errorf("%w: %v", ErrBadCursor, err)
 	}
-	var c scanCursor
-	if n, err := fmt.Sscanf(string(raw), "%d.%d.%d.%d", &c.shard, &c.slot, &c.tab, &c.cap); err != nil || n != 4 {
-		return scanCursor{}, fmt.Errorf("%w: %q", ErrBadCursor, string(raw))
+	b := raw[:n]
+	var f [4]int64
+	for i := range f {
+		v, k := binary.Uvarint(b)
+		if k <= 0 || v > math.MaxInt64 {
+			return scanCursor{}, fmt.Errorf("%w: bad field %d", ErrBadCursor, i)
+		}
+		f[i], b = int64(v), b[k:]
 	}
-	if c.shard < 0 || c.shard >= int64(s.shards) || c.slot < 0 || c.tab < 0 || c.cap < 0 {
-		return scanCursor{}, fmt.Errorf("%w: %q out of range", ErrBadCursor, string(raw))
+	if len(b) != 0 {
+		return scanCursor{}, fmt.Errorf("%w: %d trailing bytes", ErrBadCursor, len(b))
+	}
+	c := scanCursor{shard: f[0], slot: f[1], tab: f[2], cap: f[3]}
+	if c.shard >= int64(s.shards) || c.tab >= int64(s.tm.NumRegs()) ||
+		c.cap > int64(s.slots) || c.slot > c.cap {
+		return scanCursor{}, fmt.Errorf("%w: %+v out of range", ErrBadCursor, c)
 	}
 	return c, nil
 }
@@ -848,6 +897,17 @@ func (s *Store) parseCursor(str string) (scanCursor, error) {
 // paginated scan delivers every stable key at least once (possibly
 // twice within the restarted shard) rather than missing rehash-moved
 // keys.
+//
+// The cursor is a short binary encoding (base64url) of the resume
+// point; clients must treat it as opaque. A string that did not come
+// from ScanPage — including the decimal "shard.slot.tab.cap" cursors of
+// earlier releases — is ErrBadCursor; restart from "".
+//
+// The page buffer is allocated once, with capacity min(limit,
+// DefaultScanPageLimit): a huge limit cannot make the call reserve
+// memory the store does not hold. The next cursor is cut after the
+// last window is published, so writers stall on the shard only for the
+// walk itself.
 func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next string, err error) {
 	if limit <= 0 {
 		limit = DefaultScanPageLimit
@@ -861,6 +921,7 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 	if sl := s.board.Slot(th); sl != nil {
 		sl.Scans.Add(1)
 	}
+	pairs = make([]KV, 0, min(limit, DefaultScanPageLimit))
 	tm := s.tm
 	for sh := int(c.shard); sh < s.shards; sh++ {
 		if len(pairs) == limit {
@@ -886,8 +947,10 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 		}
 		for ; slot < cap; slot++ {
 			if len(pairs) == limit {
-				next = encodeCursor(scanCursor{int64(sh), slot, tab, cap})
-				return pairs, next, s.publish(th, base)
+				if err := s.publish(th, base); err != nil {
+					return nil, "", err
+				}
+				return pairs, encodeCursor(scanCursor{int64(sh), slot, tab, cap}), nil
 			}
 			if k := tm.Load(th, keyReg(tab, int(slot))); k > 0 {
 				pairs = append(pairs, KV{k, tm.Load(th, valReg(tab, int(slot)))})
@@ -1158,6 +1221,11 @@ func (s *Store) privatizeAllDeferred(th int, work func(th, shard int)) error {
 
 // publish commits a transaction flipping the shard's flag back to even,
 // re-sharing it, and wakes every point operation parked on the gate.
+// With no waiter counted the gate is left alone: a waiter counted after
+// the load below makes its next attempt after this commit (both sides
+// are sequentially consistent atomics: count then attempt, commit then
+// load), so it finds the shard shared or parks for a later publish,
+// which will see it counted.
 func (s *Store) publish(th, base int) error {
 	err := core.Atomically(s.tm, th, func(tx core.Txn) error {
 		f, err := tx.Read(base + offFlag)
@@ -1166,7 +1234,7 @@ func (s *Store) publish(th, base int) error {
 		}
 		return tx.Write(base+offFlag, f+1)
 	})
-	if err == nil {
+	if err == nil && s.pubGate.waiters.Load() != 0 {
 		gate := make(chan struct{})
 		if old := s.pubGate.Swap(&gate); old != nil {
 			close(*old)
@@ -1183,39 +1251,52 @@ func (s *Store) publish(th, base int) error {
 // is also a rough stuck-time budget.
 const maxPrivateWaits = 1 << 20
 
+// spinWaits is how many times a point operation yields to a privatized
+// shard's owner before it starts parking on the publish gate.
+const spinWaits = 64
+
 // retryShared runs body transactionally, retrying as long as it
 // reports the shard privatized. Bodies start with the shared() guard,
 // so they never touch a private shard's table. The wait yields for a
 // few rounds (the privatizer is usually nearly done), then parks on
-// the store's publish gate: every publish closes the gate and installs
-// a fresh one, so a waiter wakes the moment ANY shard re-shares
-// instead of sleep-polling — the scheduler-aware analogue of the
-// quiesce layer's parked grace-period wait. The gate is sampled before
-// the attempt, so a publish landing between the failed attempt and the
-// park has already closed the sampled gate and the wait returns
-// immediately; the timeout only backstops a dead privatizer.
+// the store's publish gate: a publish that finds a waiter counted
+// closes the gate and installs a fresh one, so a waiter wakes the
+// moment ANY shard re-shares instead of sleep-polling — the scheduler-aware analogue of the
+// quiesce layer's parked grace-period wait. Before an attempt it may
+// park after, the waiter counts itself in pubGate.waiters (so publish
+// knows to close the gate) and then samples the gate, so a publish
+// landing between the failed attempt and the park has already closed
+// the sampled gate and the wait returns immediately; the timeout only
+// backstops a dead privatizer. The count drops once the wait is over.
 func (s *Store) retryShared(th int, body func(core.Txn) error) error {
 	for i := 0; ; i++ {
-		gate := *s.pubGate.Load()
-		err := core.Atomically(s.tm, th, func(tx core.Txn) error {
-			return body(tx)
-		})
-		if errors.Is(err, errShardPrivate) {
-			if i >= maxPrivateWaits {
+		park := i >= spinWaits
+		var gate chan struct{}
+		if park {
+			s.pubGate.waiters.Add(1)
+			gate = *s.pubGate.Load()
+		}
+		err := core.Atomically(s.tm, th, body)
+		private := errors.Is(err, errShardPrivate)
+		if !private || i >= maxPrivateWaits {
+			if park {
+				s.pubGate.waiters.Add(-1)
+			}
+			if private {
 				return fmt.Errorf("stmkv: shard stayed privatized for %d retries (owner died?): %w", i, err)
 			}
-			if i < 64 {
-				runtime.Gosched()
-				continue
-			}
-			t := time.NewTimer(time.Millisecond)
-			select {
-			case <-gate:
-			case <-t.C:
-			}
-			t.Stop()
+			return err
+		}
+		if !park {
+			runtime.Gosched()
 			continue
 		}
-		return err
+		t := time.NewTimer(time.Millisecond)
+		select {
+		case <-gate:
+		case <-t.C:
+		}
+		t.Stop()
+		s.pubGate.waiters.Add(-1)
 	}
 }

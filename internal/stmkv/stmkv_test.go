@@ -19,7 +19,7 @@ import (
 // unchanged on all of them.
 var allSpecs = []string{"baseline", "atomic", "norec", "wtstm", "tl2"}
 
-func newStore(t *testing.T, spec string, shards, slots, threads int, opts ...stmkv.Option) *stmkv.Store {
+func newStore(t testing.TB, spec string, shards, slots, threads int, opts ...stmkv.Option) *stmkv.Store {
 	t.Helper()
 	tm, err := engine.NewSpec(spec, stmkv.RegsNeeded(shards, slots), threads, nil)
 	if err != nil {
